@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fixtures"
 	"repro/internal/mh"
+	"repro/internal/reconfig"
 	"repro/internal/transform"
 )
 
@@ -33,9 +34,9 @@ func benchMonitorApp(tb testing.TB, mode transform.CaptureMode, instrument bool)
 			"display": func(rt *mh.Runtime) {},
 			"sensor":  func(rt *mh.Runtime) {},
 		},
-		Mode:         mode,
-		SleepUnit:    time.Microsecond,
-		StateTimeout: 30 * time.Second,
+		Mode:      mode,
+		SleepUnit: time.Microsecond,
+		Timeouts:  reconfig.Timeouts{StateMove: 30 * time.Second},
 	})
 	if err != nil {
 		tb.Fatal(err)

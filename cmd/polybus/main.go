@@ -1,9 +1,11 @@
 // Command polybus runs a distributed application from a configuration
 // specification: the software bus, every module instance (interpreted from
 // module-language sources, automatically prepared for reconfiguration when
-// their specification declares points), and two TCP listeners — one for
-// remote module attachments, one for the reconfiguration control plane
-// (drive it with reconfigctl).
+// their specification declares points), a TCP listener for remote module
+// attachments, and the HTTP operator surface: -control serves every route,
+// reads and POST reconfigurations (drive it with reconfigctl or curl);
+// -obs-addr serves only the read routes, so it can be exposed for
+// scraping without exposing reconfiguration.
 //
 //	polybus -spec app.mil -srcdir ./modules [-app name] \
 //	        [-listen 127.0.0.1:7007] [-control 127.0.0.1:7008] \
@@ -45,8 +47,8 @@ func run(args []string) error {
 		srcDir     = fs.String("srcdir", "", "directory of per-module source directories (required)")
 		appName    = fs.String("app", "", "application name (default: the sole one)")
 		listenAddr = fs.String("listen", "", "TCP address for remote module attachments")
-		ctlAddr    = fs.String("control", "", "TCP address for the reconfiguration control plane")
-		obsAddr    = fs.String("obs-addr", "", "HTTP address for /metrics, /healthz, /traces, /timeseries, /health/{inst}, /events")
+		ctlAddr    = fs.String("control", "", "HTTP address for the reconfiguration control plane (every operator route)")
+		obsAddr    = fs.String("obs-addr", "", "HTTP address for the read-only operator routes (/metrics, /healthz, /traces, /timeseries, /health/{inst}, /events, ...)")
 		obsPprof   = fs.Bool("pprof", false, "also mount /debug/pprof on the observability address (requires -obs-addr)")
 		traceSmpl  = fs.Int("trace-sample", 0, "sample 1-in-N message traces into the flight recorder (0 = off)")
 		traceBuf   = fs.Int("trace-buffer", 0, "flight recorder capacity in spans (0 = default)")

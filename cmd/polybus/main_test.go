@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro"
 	"repro/internal/fixtures"
 )
 
@@ -73,12 +72,12 @@ func TestPolybusServesAndIsControllable(t *testing.T) {
 	}()
 
 	// Wait for the control plane.
-	var client *reconf.ControlClient
+	ctl := "http://" + ctlAddr
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var err error
-		client, err = reconf.DialControl(ctlAddr, 200*time.Millisecond)
+		resp, err := http.Get(ctl + "/healthz")
 		if err == nil {
+			resp.Body.Close()
 			break
 		}
 		if time.Now().After(deadline) {
@@ -86,29 +85,41 @@ func TestPolybusServesAndIsControllable(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	defer client.Close()
 
-	topo, err := client.Topology()
-	if err != nil || !strings.Contains(topo, "instance compute (module compute)") {
-		t.Fatalf("topology = %q, %v", topo, err)
+	if topo := obsGet(t, ctl+"/topology"); !strings.Contains(topo, "instance compute (module compute)") {
+		t.Fatalf("topology = %q", topo)
 	}
 
 	// Migrate compute while the application serves.
 	time.Sleep(100 * time.Millisecond)
-	if _, err := client.Move("compute", "compute2", "machineB"); err != nil {
+	resp, err := http.Post(ctl+"/move", "application/json",
+		strings.NewReader(`{"instance": "compute", "new_name": "compute2", "machine": "machineB"}`))
+	if err != nil {
 		t.Fatalf("remote move: %v", err)
 	}
-	topo, err = client.Topology()
-	if err != nil || !strings.Contains(topo, "instance compute2 (module compute) on machineB") {
-		t.Fatalf("post-move topology = %q, %v", topo, err)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"committed": true`) {
+		t.Fatalf("remote move = %d %s", resp.StatusCode, body)
 	}
-	trace, err := client.Trace()
-	if err != nil || len(trace) == 0 {
-		t.Fatalf("trace = %v, %v", trace, err)
+	if topo := obsGet(t, ctl+"/topology"); !strings.Contains(topo, "instance compute2 (module compute) on machineB") {
+		t.Fatalf("post-move topology = %q", topo)
 	}
-	stats, err := client.Stats()
-	if err != nil || !strings.Contains(stats, `"rebinds": 1`) {
-		t.Fatalf("stats = %q, %v", stats, err)
+	if trace := obsGet(t, ctl+"/trace"); !strings.Contains(trace, "compute2") {
+		t.Fatalf("trace = %s", trace)
+	}
+	if stats := obsGet(t, ctl+"/stats"); !strings.Contains(stats, `"rebinds": 1`) {
+		t.Fatalf("stats = %s", stats)
+	}
+	// The -obs-addr listener reads but cannot reconfigure.
+	resp, err = http.Post("http://"+obsAddr+"/move", "application/json",
+		strings.NewReader(`{"instance": "compute2", "new_name": "compute3"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /move on the obs address = %d, want 404", resp.StatusCode)
 	}
 
 	// The observability endpoint serves Prometheus metrics and health.

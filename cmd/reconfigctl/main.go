@@ -1,5 +1,7 @@
 // Command reconfigctl drives dynamic reconfigurations against a running
-// polybus application over its control plane.
+// polybus application over its control plane: plain HTTP on the address
+// given to polybus -control. Each command is one request (GET for reads,
+// POST with a JSON body for reconfigurations), so curl can do the same.
 //
 //	reconfigctl -addr 127.0.0.1:7008 topology
 //	reconfigctl -addr 127.0.0.1:7008 instances
@@ -56,8 +58,15 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -65,6 +74,9 @@ import (
 
 	"repro"
 )
+
+// commands lists every subcommand, for the usage error.
+const commands = "topology|instances|move|replace|update|replicate|remove|trace|stats|replicas|record|replay|watch|timeseries|health|events"
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -83,14 +95,9 @@ func run(args []string) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("no command (topology|instances|move|replace|update|replicate|remove|trace|stats|replicas|record|replay|watch|timeseries|health|events)")
+		return fmt.Errorf("no command (%s)", commands)
 	}
-
-	c, err := reconf.DialControl(*addr, *timeout)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
+	c := newClient(*addr, *timeout)
 
 	arg := func(i int) string {
 		if i < len(rest) {
@@ -104,36 +111,56 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	// plan prints the step sequence a replacement-family command would run.
-	plan := func(inst, newName, machine, module string) error {
-		steps, err := c.Plan(inst, newName, machine, module)
+	// show prints a text or JSON response body as the server sent it.
+	show := func(path string) error {
+		data, err := c.do(http.MethodGet, path, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Println("plan (dry run, nothing executed):")
-		for _, s := range steps {
-			fmt.Println(" ", s)
-		}
+		fmt.Println(strings.TrimRight(string(data), "\n"))
 		return nil
 	}
-	// report prints the transaction trace, then surfaces the script error.
-	report := func(tx *reconf.TxReport, err error) error {
-		if tx != nil {
-			fmt.Print(tx.Format())
+	// tx runs a replacement-family command, or with -dry-run prints its
+	// plan. The transaction report is printed whether it committed or
+	// rolled back; done is printed after a commit, and a failed
+	// transaction surfaces as the error.
+	tx := func(path string, body map[string]string, done ...any) error {
+		if *dryRun {
+			var steps []string
+			if err := c.doJSON(http.MethodPost, "/plan", body, &steps); err != nil {
+				return err
+			}
+			fmt.Println("plan (dry run, nothing executed):")
+			for _, s := range steps {
+				fmt.Println(" ", s)
+			}
+			return nil
 		}
-		return err
+		data, err := c.do(http.MethodPost, path, body)
+		var rep reconf.TxReport
+		if jerr := json.Unmarshal(data, &rep); jerr != nil {
+			if err == nil {
+				err = jerr
+			}
+			return err
+		}
+		fmt.Print(rep.Format())
+		if err != nil {
+			if rep.Err != "" {
+				return errors.New(rep.Err)
+			}
+			return err
+		}
+		fmt.Println(done...)
+		return nil
 	}
 
 	switch rest[0] {
 	case "topology":
-		topo, err := c.Topology()
-		if err != nil {
-			return err
-		}
-		fmt.Println(topo)
+		return show("/topology")
 	case "instances":
-		insts, err := c.Instances()
-		if err != nil {
+		var insts []string
+		if err := c.doJSON(http.MethodGet, "/instances", nil, &insts); err != nil {
 			return err
 		}
 		fmt.Println(strings.Join(insts, "\n"))
@@ -141,40 +168,25 @@ func run(args []string) error {
 		if err := need(3); err != nil {
 			return err
 		}
-		if *dryRun {
-			return plan(arg(1), arg(2), arg(3), "")
-		}
-		if err := report(c.Move(arg(1), arg(2), arg(3))); err != nil {
-			return err
-		}
-		fmt.Println("moved", arg(1), "->", arg(2), "on", arg(3))
+		return tx("/move", map[string]string{"instance": arg(1), "new_name": arg(2), "machine": arg(3)},
+			"moved", arg(1), "->", arg(2), "on", arg(3))
 	case "replace":
 		if err := need(2); err != nil {
 			return err
 		}
-		if *dryRun {
-			return plan(arg(1), arg(2), arg(3), arg(4))
-		}
-		if err := report(c.Replace(arg(1), arg(2), arg(3), arg(4))); err != nil {
-			return err
-		}
-		fmt.Println("replaced", arg(1), "->", arg(2))
+		return tx("/replace", map[string]string{"instance": arg(1), "new_name": arg(2), "machine": arg(3), "module": arg(4)},
+			"replaced", arg(1), "->", arg(2))
 	case "update":
 		if err := need(3); err != nil {
 			return err
 		}
-		if *dryRun {
-			return plan(arg(1), arg(2), "", arg(3))
-		}
-		if err := report(c.Update(arg(1), arg(2), arg(3))); err != nil {
-			return err
-		}
-		fmt.Println("updated", arg(1), "->", arg(2), "running module", arg(3))
+		return tx("/update", map[string]string{"instance": arg(1), "new_name": arg(2), "module": arg(3)},
+			"updated", arg(1), "->", arg(2), "running module", arg(3))
 	case "replicate":
 		if err := need(2); err != nil {
 			return err
 		}
-		if err := c.Replicate(arg(1), arg(2), arg(3)); err != nil {
+		if _, err := c.do(http.MethodPost, "/replicate", map[string]string{"instance": arg(1), "new_name": arg(2), "machine": arg(3)}); err != nil {
 			return err
 		}
 		fmt.Println("replicated", arg(1), "->", arg(2))
@@ -182,55 +194,51 @@ func run(args []string) error {
 		if err := need(1); err != nil {
 			return err
 		}
-		if err := c.Remove(arg(1)); err != nil {
+		if _, err := c.do(http.MethodPost, "/remove", map[string]string{"instance": arg(1)}); err != nil {
 			return err
 		}
 		fmt.Println("removed", arg(1))
 	case "trace":
 		if txid := arg(1); txid != "" {
-			lines, err := c.TraceTx(txid)
-			if err != nil {
+			var doc struct {
+				Timeline []string `json:"timeline"`
+			}
+			if err := c.doJSON(http.MethodGet, "/trace/"+url.PathEscape(txid), nil, &doc); err != nil {
 				return err
 			}
-			fmt.Println(strings.Join(lines, "\n"))
+			fmt.Println(strings.Join(doc.Timeline, "\n"))
 			return nil
 		}
-		trace, err := c.Trace()
-		if err != nil {
+		var trace []string
+		if err := c.doJSON(http.MethodGet, "/trace", nil, &trace); err != nil {
 			return err
 		}
 		fmt.Println(reconf.FormatTrace(trace))
 	case "stats":
-		stats, err := c.Stats()
-		if err != nil {
-			return err
-		}
-		fmt.Println(stats)
+		return show("/stats")
 	case "replicas":
-		reps, err := c.Replicas()
-		if err != nil {
-			return err
-		}
-		fmt.Println(reps)
+		return show("/replicas")
 	case "record":
-		mode := arg(1)
-		if mode != "" && mode != "on" && mode != "off" {
-			return fmt.Errorf("record: want on, off or no argument, got %q", mode)
+		var enabled bool
+		switch arg(1) {
+		case "":
+			return show("/record")
+		case "on":
+			enabled = true
+		case "off":
+		default:
+			return fmt.Errorf("record: want on, off or no argument, got %q", arg(1))
 		}
-		status, err := c.Record(mode)
+		data, err := c.do(http.MethodPost, "/record", map[string]bool{"enabled": enabled})
 		if err != nil {
 			return err
 		}
-		fmt.Println(status)
+		fmt.Println(strings.TrimRight(string(data), "\n"))
 	case "replay":
 		if err := need(1); err != nil {
 			return err
 		}
-		rep, err := c.Replay(arg(1))
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep)
+		return show("/replay/" + url.PathEscape(arg(1)))
 	case "watch":
 		wfs := flag.NewFlagSet("watch", flag.ContinueOnError)
 		interval := wfs.Duration("interval", 2*time.Second, "refresh interval between iterations")
@@ -239,60 +247,115 @@ func run(args []string) error {
 		if err := wfs.Parse(rest[1:]); err != nil {
 			return err
 		}
+		path := "/watch"
+		if *windows > 0 {
+			path += "?windows=" + strconv.Itoa(*windows)
+		}
 		for i := 0; *count <= 0 || i < *count; i++ {
 			if i > 0 {
 				time.Sleep(*interval)
 				fmt.Println()
 			}
-			tbl, err := c.Watch(*windows)
-			if err != nil {
+			if err := show(path); err != nil {
 				return err
 			}
-			fmt.Println(tbl)
 		}
 	case "timeseries":
-		k := 0
+		q := url.Values{}
+		if m := arg(1); m != "" {
+			q.Set("metric", m)
+		}
 		if v := arg(2); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil {
 				return fmt.Errorf("timeseries: windows must be an integer, got %q", v)
 			}
-			k = n
+			if n > 0 {
+				q.Set("window", strconv.Itoa(n))
+			}
 		}
-		doc, err := c.Timeseries(arg(1), k)
-		if err != nil {
-			return err
-		}
-		fmt.Println(doc)
+		return show("/timeseries?" + q.Encode())
 	case "health":
 		if err := need(1); err != nil {
 			return err
 		}
-		var baseline []string
+		path := "/health/" + url.PathEscape(arg(1))
 		if b := arg(2); b != "" {
-			baseline = strings.Split(b, ",")
+			path += "?" + url.Values{"baseline": {b}}.Encode()
 		}
-		verdict, err := c.Health(arg(1), baseline)
-		if err != nil {
-			return err
-		}
-		fmt.Println(verdict)
+		return show(path)
 	case "events":
-		var since uint64
+		path := "/events"
 		if v := arg(1); v != "" {
 			n, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {
 				return fmt.Errorf("events: cursor must be a non-negative integer, got %q", v)
 			}
-			since = n
+			path += "?since=" + strconv.FormatUint(n, 10)
 		}
-		doc, err := c.Events(since)
-		if err != nil {
-			return err
-		}
-		fmt.Println(doc)
+		return show(path)
 	default:
 		return fmt.Errorf("unknown command %q", rest[0])
 	}
 	return nil
+}
+
+// client is a thin HTTP client of the control plane.
+type client struct {
+	base string
+	hc   *http.Client
+}
+
+// newClient bounds only the dial: a Replace can legitimately run for as
+// long as the application's reconfiguration timeouts allow.
+func newClient(addr string, dialTimeout time.Duration) *client {
+	return &client{
+		base: "http://" + addr,
+		hc: &http.Client{Transport: &http.Transport{
+			DialContext: (&net.Dialer{Timeout: dialTimeout}).DialContext,
+		}},
+	}
+}
+
+// do sends one request, with body JSON-encoded when non-nil, and returns
+// the response body. A non-2xx status is an error carrying the server's
+// message; the body is still returned.
+func (c *client) do(method, path string, body any) ([]byte, error) {
+	var rd io.Reader
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		rd = bytes.NewReader(data)
+	}
+	req, err := http.NewRequest(method, c.base+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 != 2 {
+		return data, fmt.Errorf("%s %s: %s (%d)", method, path, strings.TrimSpace(string(data)), resp.StatusCode)
+	}
+	return data, nil
+}
+
+// doJSON is do with the response decoded into out.
+func (c *client) doJSON(method, path string, body, out any) error {
+	data, err := c.do(method, path, body)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, out)
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/fixtures"
+	"repro/internal/reconfig"
 )
 
 func startApp(t *testing.T) (*reconf.App, string) {
@@ -23,8 +26,8 @@ func startApp(t *testing.T) (*reconf.App, string) {
 			"sensor":  fixtures.Sensor(fixtures.SensorConfig{Interval: 1}),
 			"display": fixtures.Display(4, 1000, 1, nil),
 		},
-		SleepUnit:    100 * time.Microsecond,
-		StateTimeout: 10 * time.Second,
+		SleepUnit: 100 * time.Microsecond,
+		Timeouts:  reconfig.Timeouts{StateMove: 10 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +57,16 @@ func TestReconfigctlCommands(t *testing.T) {
 		{"-addr", addr, "-dry-run", "move", "compute", "compute2", "machineB"},
 		{"-addr", addr, "move", "compute", "compute2", "machineB"},
 		{"-addr", addr, "trace"},
+		{"-addr", addr, "-dry-run", "update", "compute2", "compute3", "compute"},
+		{"-addr", addr, "-dry-run", "replace", "compute2", "compute3"},
 		{"-addr", addr, "replicate", "compute2", "computeB", "machineC"},
 		{"-addr", addr, "remove", "computeB"},
+		{"-addr", addr, "replicas"},
+		{"-addr", addr, "record"},
+		{"-addr", addr, "watch", "-windows", "2"},
+		{"-addr", addr, "timeseries"},
+		{"-addr", addr, "health", "display", "sensor"},
+		{"-addr", addr, "events", "1"},
 	}
 	for _, args := range ok {
 		if err := run(args); err != nil {
@@ -74,10 +85,63 @@ func TestReconfigctlCommands(t *testing.T) {
 		{"-addr", addr, "replicate", "x"},                  // missing args
 		{"-addr", "127.0.0.1:1", "topology"},               // dead server
 		{"-addr", addr, "-dry-run", "move", "g", "h", "m"}, // plan for unknown instance
+		{"-addr", addr, "record", "on"},                    // no record ring configured
+		{"-addr", addr, "record", "sideways"},              // bad mode
+		{"-addr", addr, "events", "-1"},                    // bad cursor
+		{"-addr", addr, "health", "ghost"},                 // unknown instance
 	}
 	for _, args := range bad {
 		if err := run(args); err == nil {
 			t.Errorf("no error for %v", args)
+		}
+	}
+}
+
+// TestSubcommandRoutes runs every reconfigctl subcommand against a
+// control listener and checks that each one reached a route the server
+// mounts: whatever the application answers, the mux itself must not
+// refuse the path (404 page not found), the method (405) or the body
+// type (415).
+func TestSubcommandRoutes(t *testing.T) {
+	_, addr := startApp(t)
+	invocations := map[string][]string{
+		"topology":   {"topology"},
+		"instances":  {"instances"},
+		"move":       {"move", "compute", "compute2", "machineB"},
+		"replace":    {"replace", "compute2", "compute3"},
+		"update":     {"update", "compute3", "compute4", "compute"},
+		"replicate":  {"replicate", "compute4", "computeB", "machineC"},
+		"remove":     {"remove", "computeB"},
+		"trace":      {"trace", "tx-0001"},
+		"stats":      {"stats"},
+		"replicas":   {"replicas"},
+		"record":     {"record", "off"},
+		"replay":     {"replay", "compute4"},
+		"watch":      {"watch"},
+		"timeseries": {"timeseries", "no.such.metric", "1"},
+		"health":     {"health", "display"},
+		"events":     {"events"},
+	}
+	for _, name := range strings.Split(commands, "|") {
+		args, ok := invocations[name]
+		if !ok {
+			t.Errorf("subcommand %s has no route check", name)
+			continue
+		}
+		runs := [][]string{append([]string{"-addr", addr}, args...)}
+		if name == "move" || name == "replace" || name == "update" {
+			runs = append([][]string{append([]string{"-dry-run"}, runs[0]...)}, runs...)
+		}
+		for _, full := range runs {
+			_, err := capture(t, func() error { return run(full) })
+			if err == nil {
+				continue
+			}
+			for _, refusal := range []string{"404 page not found", "(405)", "(415)"} {
+				if strings.Contains(err.Error(), refusal) {
+					t.Errorf("%v: the server mounts no matching route: %v", full, err)
+				}
+			}
 		}
 	}
 }
@@ -109,14 +173,18 @@ func TestReconfigctlTraceTx(t *testing.T) {
 	_, addr := startApp(t)
 	time.Sleep(50 * time.Millisecond)
 
-	c, err := reconf.DialControl(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
+	c := newClient(addr, time.Second)
+	txPost := func(path string, body map[string]string) (*reconf.TxReport, error) {
+		data, err := c.do(http.MethodPost, path, body)
+		var rep reconf.TxReport
+		if jerr := json.Unmarshal(data, &rep); jerr != nil {
+			t.Fatalf("POST %s: report is not JSON (%v): %s", path, jerr, data)
+		}
+		return &rep, err
 	}
-	defer c.Close()
 
 	// Committed: a plain move.
-	tx, err := c.Move("compute", "compute2", "machineB")
+	tx, err := txPost("/move", map[string]string{"instance": "compute", "new_name": "compute2", "machine": "machineB"})
 	if err != nil {
 		t.Fatalf("move: %v", err)
 	}
@@ -124,13 +192,21 @@ func TestReconfigctlTraceTx(t *testing.T) {
 		t.Fatalf("move tx = %+v, want committed with TxID", tx)
 	}
 
-	// Rolled back: an update to a module that does not exist.
-	badTx, badErr := c.Update("compute2", "compute3", "no-such-module")
-	if badErr == nil {
-		t.Fatal("update to missing module succeeded")
+	// Rolled back: an update to a module that does not exist. The report
+	// still arrives, with status 409.
+	badTx, badErr := txPost("/update", map[string]string{"instance": "compute2", "new_name": "compute3", "module": "no-such-module"})
+	if badErr == nil || !strings.Contains(badErr.Error(), "(409)") {
+		t.Fatalf("update to missing module: err = %v, want a 409", badErr)
 	}
-	if badTx == nil || badTx.TxID == "" || !badTx.RolledBack {
-		t.Fatalf("failed update tx = %+v, want rolled back with TxID", badTx)
+	if badTx.TxID == "" || !badTx.RolledBack || badTx.Err == "" {
+		t.Fatalf("failed update tx = %+v, want rolled back with TxID and error", badTx)
+	}
+	// The command prints the rollback report and exits with its error.
+	out, err := capture(t, func() error {
+		return run([]string{"-addr", addr, "update", "compute2", "compute3", "no-such-module"})
+	})
+	if err == nil || !strings.Contains(out, "rolled back:") {
+		t.Errorf("failed update: err = %v, output:\n%s", err, out)
 	}
 
 	for _, tc := range []struct {

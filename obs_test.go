@@ -114,6 +114,18 @@ func TestObsHealthFlipsDuringQuiesce(t *testing.T) {
 		t.Errorf("/healthz during quiesce = %d %q, want 503 reconfiguring", code, body)
 	}
 
+	// Release the module only once the transaction has signalled it: a
+	// reading that arrived before the signal would be consumed as part of
+	// the computation and leave the module waiting for the next one.
+	deadline := time.Now().Add(5 * time.Second)
+	for signalled := false; !signalled; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the replace never signalled compute")
+		}
+		for _, e := range app.Events().Since(0) {
+			signalled = signalled || e.Kind == "signal" && e.Instance == "compute"
+		}
+	}
 	d.temperature(60)
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -137,10 +149,10 @@ func loadMonitorSampled(t *testing.T) *App {
 			"display": func(rt *mh.Runtime) {},
 			"sensor":  func(rt *mh.Runtime) {},
 		},
-		SleepUnit:    time.Microsecond,
-		StateTimeout: 10 * time.Second,
-		TraceSample:  1,
-		TraceBuffer:  256,
+		SleepUnit:   time.Microsecond,
+		Timeouts:    reconfig.Timeouts{StateMove: 10 * time.Second},
+		TraceSample: 1,
+		TraceBuffer: 256,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -83,10 +83,6 @@ type Config struct {
 	SleepUnit time.Duration
 	// Codec overrides the wire/state codec (default portable).
 	Codec codec.Codec
-	// StateTimeout bounds how long a reconfiguration waits for a module
-	// to reach a reconfiguration point (default 30s). It predates
-	// Timeouts and, when set, overrides Timeouts.StateMove.
-	StateTimeout time.Duration
 	// Timeouts bounds every wait of the reconfiguration layer — state
 	// move, restore confirmation, rollback compensations, quiescence.
 	// Zero fields take reconfig.DefaultTimeouts (30s each); individual
@@ -205,11 +201,6 @@ func Load(cfg Config) (*App, error) {
 		cfg.Codec = codec.Default()
 	}
 	cfg.Timeouts = cfg.Timeouts.WithDefaults()
-	if cfg.StateTimeout == 0 {
-		cfg.StateTimeout = cfg.Timeouts.StateMove
-	} else {
-		cfg.Timeouts.StateMove = cfg.StateTimeout
-	}
 	spec, err := mil.ParseAndValidate(cfg.SpecText)
 	if err != nil {
 		return nil, err
@@ -526,7 +517,7 @@ func (a *App) Launch(instance string) error {
 	opts := []mh.Option{
 		mh.WithSleepUnit(a.cfg.SleepUnit),
 		mh.WithCodec(a.cfg.Codec),
-		mh.WithStateTimeout(a.cfg.StateTimeout),
+		mh.WithStateTimeout(a.cfg.Timeouts.StateMove),
 		mh.WithTelemetry(a.bus.Telemetry()),
 	}
 	sup := a.supervisorFor(instance)

@@ -12,7 +12,6 @@ package reconf
 
 import (
 	"encoding/json"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -135,7 +134,7 @@ func loadPipe(t *testing.T, preflight bool) *pipeHarness {
 			"psink":   func(rt *mh.Runtime) {},
 		},
 		SleepUnit:       time.Microsecond,
-		StateTimeout:    10 * time.Second,
+		Timeouts:        reconfig.Timeouts{StateMove: 10 * time.Second},
 		RecordBuffer:    1024,
 		PreflightReplay: preflight,
 	})
@@ -321,8 +320,9 @@ func assertSnapshotsEqual(t *testing.T, before, after cfgSnapshot) {
 	}
 }
 
-// TestRecordObsEndpoints: /record reports and toggles the ring;
-// /replay/{id} replays the current window.
+// TestRecordObsEndpoints: the read-only listener reports the record ring
+// (GET /record never toggles it, and POST is refused) and replays the
+// current window on /replay/{id}.
 func TestRecordObsEndpoints(t *testing.T) {
 	h := loadPipe(t, false)
 	base := serveObs(t, h.app)
@@ -348,21 +348,12 @@ func TestRecordObsEndpoints(t *testing.T) {
 	if !found {
 		t.Errorf("/record queues missing filter.in: %+v", st.Queues)
 	}
-
-	code, body = httpGet(t, base+"/record?enable=off")
-	if code != http.StatusOK || !strings.Contains(body, `"enabled": false`) {
-		t.Errorf("/record?enable=off -> %d %s", code, body)
+	// The query-string toggle is gone: a GET is status only.
+	if code, body := httpGet(t, base+"/record?enable=off"); code != http.StatusOK || !strings.Contains(body, `"enabled": true`) {
+		t.Errorf("GET /record?enable=off -> %d %s, want status with recording still on", code, body)
 	}
-	h.drive(6)
-	if got := h.app.Recorder().Recorded(); got != 4 {
-		t.Errorf("recorded while disabled: %d", got)
-	}
-	code, _ = httpGet(t, base+"/record?enable=on")
-	if code != http.StatusOK {
-		t.Errorf("/record?enable=on -> %d", code)
-	}
-	if code, _ := httpGet(t, base+"/record?enable=sideways"); code != http.StatusBadRequest {
-		t.Errorf("bad enable value -> %d", code)
+	if code, _ := postJSON(t, base+"/record", `{"enabled": false}`); code != http.StatusMethodNotAllowed {
+		t.Errorf("POST /record on the read-only listener -> %d, want 405", code)
 	}
 
 	code, body = httpGet(t, base+"/replay/filter")
@@ -389,54 +380,43 @@ func TestRecordObsEndpoints(t *testing.T) {
 func TestRecordObsUnconfigured(t *testing.T) {
 	app := loadMonitor(t, 0)
 	t.Cleanup(app.Stop)
-	base := serveObs(t, app)
+	base := serveControl(t, app)
 	code, body := httpGet(t, base+"/record")
 	if code != http.StatusOK || !strings.Contains(body, `"configured": false`) {
 		t.Errorf("/record on unconfigured app -> %d %s", code, body)
 	}
-	if code, _ := httpGet(t, base+"/record?enable=on"); code != http.StatusConflict {
+	if code, _ := postJSON(t, base+"/record", `{"enabled": true}`); code != http.StatusConflict {
 		t.Errorf("enable on unconfigured app -> %d", code)
 	}
 }
 
-// TestControlRecordReplay: the control plane's record and replay ops.
+// TestControlRecordReplay: POST /record on the control listener toggles
+// recording (what `reconfigctl record on|off` sends), and the ring stops
+// and resumes accordingly.
 func TestControlRecordReplay(t *testing.T) {
 	h := loadPipe(t, false)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := h.app.ServeControl(l)
-	t.Cleanup(func() { srv.Close() })
-	c, err := DialControl(srv.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	base := serveControl(t, h.app)
+	h.drive(5, 9)
 
-	h.drive(7, 3)
-
-	status, err := c.Record("")
-	if err != nil || !strings.Contains(status, `"recorded": 4`) {
-		t.Errorf("record status = %q, %v", status, err)
+	code, body := postJSON(t, base+"/record", `{"enabled": false}`)
+	if code != http.StatusOK || !strings.Contains(body, `"enabled": false`) {
+		t.Errorf("POST /record off -> %d %s", code, body)
 	}
-	status, err = c.Record("off")
-	if err != nil || !strings.Contains(status, `"enabled": false`) {
-		t.Errorf("record off = %q, %v", status, err)
+	h.drive(6)
+	if got := h.app.Recorder().Recorded(); got != 4 {
+		t.Errorf("recorded while disabled: %d", got)
 	}
-	if _, err := c.Record("on"); err != nil {
-		t.Errorf("record on: %v", err)
+	if code, body := postJSON(t, base+"/record", `{"enabled": true}`); code != http.StatusOK || !strings.Contains(body, `"enabled": true`) {
+		t.Errorf("POST /record on -> %d %s", code, body)
 	}
-
-	rep, err := c.Replay("filter")
-	if err != nil {
-		t.Fatal(err)
+	if code, _ := postJSON(t, base+"/record", `{"enabled": "sideways"}`); code != http.StatusBadRequest {
+		t.Errorf("bad enable value -> %d", code)
 	}
-	if !strings.Contains(rep, `"match": true`) {
-		t.Errorf("control replay report = %s", rep)
+	if code, _ := postJSON(t, base+"/record", `{}`); code != http.StatusBadRequest {
+		t.Errorf("record without enabled -> %d, want 400", code)
 	}
-	if _, err := c.Replay("ghost"); err == nil {
-		t.Error("replay of unknown instance accepted")
+	if code, body := httpGet(t, base+"/replay/filter"); code != http.StatusOK || !strings.Contains(body, `"match": true`) {
+		t.Errorf("control replay -> %d %s", code, body)
 	}
 }
 
@@ -465,7 +445,7 @@ func TestMhreplayCLIReproduces(t *testing.T) {
 			"psink":   func(rt *mh.Runtime) {},
 		},
 		SleepUnit:    time.Microsecond,
-		StateTimeout: 10 * time.Second,
+		Timeouts:     reconfig.Timeouts{StateMove: 10 * time.Second},
 		RecordBuffer: 1024,
 		RecordSpill:  spill,
 	})

@@ -21,8 +21,8 @@ go vet ./...
 echo "== archlint ./... (self-hosting architectural invariants)"
 go run ./cmd/archlint ./...
 
-echo "== go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/..."
-go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/...
+echo "== go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/... ./internal/telemetry/..."
+go test -race ./internal/bus/... ./internal/quiesce/... ./internal/reconfig/... ./internal/mh/... ./internal/telemetry/...
 
 echo "== fault-injection matrix (kill Replace at every failpoint, twice, racy)"
 go test -run 'Fault|Rollback|Concurrent' -race -count=2 ./...

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"net"
 	"os"
 	"sort"
 	"strings"
@@ -410,20 +409,9 @@ func TestReplicasObservability(t *testing.T) {
 	}
 	check("/replicas", body)
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := h.app.ServeControl(l)
-	defer srv.Close()
-	c, err := DialControl(srv.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	doc, err := c.Replicas()
-	if err != nil {
-		t.Fatal(err)
+	code, doc := httpGet(t, serveControl(t, h.app)+"/replicas")
+	if code != 200 {
+		t.Fatalf("control /replicas: status %d", code)
 	}
 	check("control replicas", doc)
 }
